@@ -7,7 +7,9 @@
 //! prefetchers on the tiny preset — against JSON recorded from the
 //! pre-optimization engine. The hybrid-lab presets (SHIFT+next-line,
 //! gated PIF, adaptive, throttled SHIFT) are locked the same way, recorded
-//! when the lab landed.
+//! when the lab landed. The SHIFT-backed designs are also locked under
+//! consolidation, where each workload gets its own prefetcher unit and the
+//! engine routes every core to its workload's unit.
 //!
 //! On mismatch the actual JSON is written next to the golden file as
 //! `<name>.actual.json` for diffing. To re-bless after an *intentional*
@@ -22,7 +24,7 @@ use std::path::PathBuf;
 
 use serde::json;
 use shift_sim::{CmpConfig, PrefetcherConfig, SimOptions, Simulation};
-use shift_trace::{presets, Scale, WorkloadSpec};
+use shift_trace::{presets, ConsolidationSpec, Scale, WorkloadSpec};
 
 const CORES: u16 = 4;
 const SEED: u64 = 0x60_1DEA;
@@ -33,15 +35,14 @@ fn golden_dir() -> PathBuf {
         .join("golden")
 }
 
-fn run_json(workload: &WorkloadSpec, prefetcher: PrefetcherConfig) -> String {
+fn check(name: &str, workload: &WorkloadSpec, prefetcher: PrefetcherConfig) {
     let config = CmpConfig::micro13(CORES, prefetcher);
     let options = SimOptions::new(Scale::Test, SEED);
     let result = Simulation::standalone(config, workload.clone(), options).run();
-    json::to_string_pretty(&result)
+    check_json(name, json::to_string_pretty(&result));
 }
 
-fn check(name: &str, workload: &WorkloadSpec, prefetcher: PrefetcherConfig) {
-    let actual = run_json(workload, prefetcher);
+fn check_json(name: &str, actual: String) {
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var("SHIFT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
         fs::create_dir_all(golden_dir()).expect("create golden dir");
@@ -155,4 +156,26 @@ fn hybrid_results_are_bit_identical_to_recorded() {
         &presets::tiny(),
         PrefetcherConfig::shift_throttled(4),
     );
+}
+
+#[test]
+fn consolidated_shift_units_are_bit_identical_to_recorded() {
+    // Two workloads on four cores: two prefetcher units, each serving the
+    // two cores of its workload, so a core routed to the wrong unit changes
+    // the result.
+    for (name, prefetcher) in [
+        ("shift", PrefetcherConfig::shift_virtualized()),
+        ("shift_next_line", PrefetcherConfig::shift_next_line()),
+        ("adaptive_nl_shift", PrefetcherConfig::adaptive_nl_shift()),
+        ("shift_throttled_bw2", PrefetcherConfig::shift_throttled(2)),
+    ] {
+        let spec = ConsolidationSpec::even_split(vec![presets::tiny(), presets::web_frontend()], 4);
+        let config = CmpConfig::micro13(CORES, prefetcher);
+        let options = SimOptions::new(Scale::Test, SEED);
+        let result = Simulation::consolidated(config, spec, options).run();
+        check_json(
+            &format!("consolidated_tiny_web_frontend_{name}"),
+            json::to_string_pretty(&result),
+        );
+    }
 }
