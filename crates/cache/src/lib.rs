@@ -3,10 +3,9 @@
 //! This crate provides the storage substrates the simulated CMP is built
 //! from:
 //!
-//! * [`SetAssocCache`] — a set-associative cache with pluggable replacement,
-//!   per-line user metadata, and optional *pinned* (non-evictable) lines. The
-//!   L1 instruction and data caches are instances of it.
-//! * [`Mshr`] — miss-status holding registers that merge secondary misses.
+//! * [`SetAssocCache`] — a set-associative LRU cache with per-line user
+//!   metadata and optional *pinned* (non-evictable) lines. The L1 instruction
+//!   and data caches are instances of it.
 //! * [`NucaLlc`] — the shared, banked last-level cache. It supports the two
 //!   extensions virtualized SHIFT needs: an index-pointer field appended to
 //!   every tag (the paper's embedded index table) and a non-evictable address
@@ -28,24 +27,15 @@
 //! assert!(l1i.access(block).is_hit());
 //! ```
 
-// Unsafe is denied crate-wide rather than forbidden: the one exception is
-// the runtime-detected `std::arch` tag-scan module in `set_assoc`, whose
-// intrinsic calls are `unsafe` by signature and pinned to the scalar scan by
-// differential tests.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 pub mod config;
 pub mod llc;
-pub mod mshr;
-pub mod replacement;
 pub mod set_assoc;
 pub mod stats;
 
 pub use config::{CacheConfig, LlcConfig};
 pub use llc::{LlcAccessOutcome, LlcMeta, NucaLlc};
-pub use mshr::{Mshr, MshrAllocation};
-pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessResult, EvictedLine, SetAssocCache};
 pub use stats::{CacheStats, TrafficStats};

@@ -202,7 +202,7 @@ fn bench_bank_scan(c: &mut Criterion, mode: SuiteMode) {
 
     // One LLC bank's worth of sets at the paper's 16-way associativity, fully
     // resident, so every access scans a full 16-tag set — the packed-array
-    // scan the SoA layout (and the optional `simd` feature) accelerates.
+    // scan the SoA layout accelerates.
     const SETS: u64 = 512;
     const WAYS: u64 = 16;
     let mut bank: SetAssocCache<()> = SetAssocCache::new(CacheConfig::new(

@@ -231,12 +231,11 @@ impl CoreView<'_> {
     /// Advances this core by exactly one instruction-block fetch (plus any
     /// data references that precede it in the trace).
     ///
-    /// Generic over the prefetcher type so each [`PrefetcherBank`] variant
-    /// monomorphizes its own copy with the hooks statically dispatched (and,
-    /// for the no-op baseline, inlined away entirely); `?Sized` keeps the
-    /// `&mut dyn` reference path compilable for the equivalence tests.
+    /// Generic over the prefetcher type so each design monomorphizes its own
+    /// copy with the hooks statically dispatched (and, for the no-op
+    /// baseline, inlined away entirely).
     #[inline]
-    fn step_one_fetch<P: InstructionPrefetcher + ?Sized>(
+    fn step_one_fetch<P: InstructionPrefetcher>(
         &mut self,
         pf: &mut P,
         memory: &mut MemorySystem,
@@ -267,7 +266,7 @@ impl CoreView<'_> {
         self.l1d.fill(block, ());
     }
 
-    fn handle_fetch<P: InstructionPrefetcher + ?Sized>(
+    fn handle_fetch<P: InstructionPrefetcher>(
         &mut self,
         pf: &mut P,
         memory: &mut MemorySystem,
@@ -374,108 +373,60 @@ impl CoreView<'_> {
     }
 }
 
-/// The configured prefetcher(s) of a run, dispatched statically: one variant
-/// per [`PrefetcherConfig`] family, so the stepping loop monomorphizes per
-/// variant and the per-fetch `on_access`/`on_retire`/`covers` hooks are
-/// direct (inlinable) calls instead of virtual ones through
-/// `Box<dyn InstructionPrefetcher>`. The baseline's no-op hooks — half of
-/// every deduplicated matrix's shared keys — compile away entirely.
-pub(crate) enum PrefetcherBank {
-    /// No prefetcher (the baseline).
-    Null(NullPrefetcher),
-    /// One next-line prefetcher shared by every core.
-    NextLine(NextLinePrefetcher),
-    /// One PIF instance holding all per-core private histories.
-    Pif(Pif),
-    /// SHIFT: one shared history per workload (consolidation gives each
-    /// workload its own instance); `pf_of_core[i]` names core `i`'s unit.
-    Shift {
-        /// Per-workload SHIFT instances.
-        units: Vec<Shift>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
-    /// Hybrid: per-workload SHIFT units, each with a next-line fallback.
-    ShiftNextLine {
-        /// Per-workload fallback pairs.
-        units: Vec<FallbackPrefetcher<Shift, NextLinePrefetcher>>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
-    /// Hybrid: one confidence-gated PIF holding all per-core histories.
-    GatedPif(ConfidenceGatedPrefetcher<Pif>),
-    /// Hybrid: per-workload adaptive next-line/SHIFT selectors.
-    AdaptiveNlShift {
-        /// Per-workload adaptive pairs.
-        units: Vec<AdaptivePrefetcher<NextLinePrefetcher, Shift>>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
-    /// Per-workload SHIFT units behind bandwidth-throttled history ports.
-    ThrottledShift {
-        /// Per-workload throttled SHIFT units.
-        units: Vec<ThrottledPrefetcher<Shift>>,
-        /// Core index → index into `units`.
-        pf_of_core: Vec<usize>,
-    },
+/// The prefetcher units of a run and the core → unit routing. A design
+/// shared by the whole CMP is a single unit; SHIFT and every hybrid that
+/// wraps it have one unit per consolidated workload.
+struct Units<P> {
+    units: Vec<P>,
+    /// Core index → index into `units`.
+    pf_of_core: Vec<usize>,
 }
 
-impl PrefetcherBank {
-    /// The prefetcher serving core `core_idx`, as a trait object — the
-    /// reference path reproducing the old per-fetch virtual dispatch, kept
-    /// for the dispatch-equivalence tests.
-    fn slot_dyn(&mut self, core_idx: usize) -> &mut dyn InstructionPrefetcher {
-        match self {
-            PrefetcherBank::Null(pf) => pf,
-            PrefetcherBank::NextLine(pf) => pf,
-            PrefetcherBank::Pif(pf) => pf,
-            PrefetcherBank::Shift { units, pf_of_core } => &mut units[pf_of_core[core_idx]],
-            PrefetcherBank::ShiftNextLine { units, pf_of_core } => &mut units[pf_of_core[core_idx]],
-            PrefetcherBank::GatedPif(pf) => pf,
-            PrefetcherBank::AdaptiveNlShift { units, pf_of_core } => {
-                &mut units[pf_of_core[core_idx]]
-            }
-            PrefetcherBank::ThrottledShift { units, pf_of_core } => {
-                &mut units[pf_of_core[core_idx]]
-            }
+impl<P> Units<P> {
+    /// One unit serving all `cores`.
+    fn shared(pf: P, cores: u16) -> Self {
+        Units {
+            units: vec![pf],
+            pf_of_core: vec![0; cores as usize],
+        }
+    }
+
+    /// Wraps every unit, keeping the routing.
+    fn map<Q>(self, f: impl FnMut(P) -> Q) -> Units<Q> {
+        Units {
+            units: self.units.into_iter().map(f).collect(),
+            pf_of_core: self.pf_of_core,
         }
     }
 }
 
-/// One round-robin pass over all cores, `rounds` times, with the prefetcher
-/// type statically known — the monomorphized inner loop every
-/// [`PrefetcherBank`] variant of [`Engine::step_rounds`] expands to.
-#[inline]
-fn step_rounds_uniform<P: InstructionPrefetcher>(
-    cores: &mut CoreLanes,
-    memory: &mut MemorySystem,
-    env: &mut StepEnv,
-    pf: &mut P,
-    rounds: usize,
-) {
-    for _ in 0..rounds {
-        for idx in 0..cores.len() {
-            cores.core(idx).step_one_fetch(pf, memory, env);
-        }
-    }
+/// The stepping loop, behind one virtual call per batch: each
+/// `Units<P>` monomorphizes it, so the per-fetch `on_access`/`on_retire`/
+/// `covers` hooks are direct calls (and the baseline's no-op hooks compile
+/// away). `Send` keeps the public [`Engine`] `Send`.
+trait StepRounds: Send {
+    fn step_rounds(
+        &mut self,
+        cores: &mut CoreLanes,
+        memory: &mut MemorySystem,
+        env: &mut StepEnv,
+        rounds: usize,
+    );
 }
 
-/// Round-robin stepping over per-workload prefetcher units (`pf_of_core`
-/// routes each core to its unit), monomorphized per unit type — the shared
-/// loop behind the SHIFT variant and every hybrid that wraps SHIFT.
-#[inline]
-fn step_rounds_units<P: InstructionPrefetcher>(
-    cores: &mut CoreLanes,
-    memory: &mut MemorySystem,
-    env: &mut StepEnv,
-    units: &mut [P],
-    pf_of_core: &[usize],
-    rounds: usize,
-) {
-    for _ in 0..rounds {
-        for idx in 0..cores.len() {
-            let pf = &mut units[pf_of_core[idx]];
-            cores.core(idx).step_one_fetch(pf, memory, env);
+impl<P: InstructionPrefetcher + Send> StepRounds for Units<P> {
+    fn step_rounds(
+        &mut self,
+        cores: &mut CoreLanes,
+        memory: &mut MemorySystem,
+        env: &mut StepEnv,
+        rounds: usize,
+    ) {
+        for _ in 0..rounds {
+            for idx in 0..cores.len() {
+                let pf = &mut self.units[self.pf_of_core[idx]];
+                cores.core(idx).step_one_fetch(pf, memory, env);
+            }
         }
     }
 }
@@ -495,7 +446,7 @@ fn step_rounds_units<P: InstructionPrefetcher>(
 pub struct Engine {
     memory: MemorySystem,
     cores: CoreLanes,
-    prefetchers: PrefetcherBank,
+    prefetchers: Box<dyn StepRounds>,
     env: StepEnv,
     prefetcher_label: String,
     workloads: Vec<String>,
@@ -580,52 +531,11 @@ impl Engine {
     /// This is the batched stepping entry point: one dispatch amortizes over
     /// `rounds × cores` fetches, and splitting the same total across several
     /// calls is bit-identical to a single call (locked by the `runner`
-    /// integration tests). The prefetcher variant is matched once per call,
-    /// not once per fetch: each arm runs a loop monomorphized for its
-    /// concrete prefetcher type, with all hooks statically dispatched.
+    /// integration tests). The loop is monomorphized for the run's concrete
+    /// prefetcher type, so all per-fetch hooks are statically dispatched.
     pub fn step_rounds(&mut self, rounds: usize) {
-        let Engine {
-            memory,
-            cores,
-            prefetchers,
-            env,
-            ..
-        } = self;
-        match prefetchers {
-            PrefetcherBank::Null(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::NextLine(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::Pif(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::Shift { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-            PrefetcherBank::ShiftNextLine { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-            PrefetcherBank::GatedPif(pf) => step_rounds_uniform(cores, memory, env, pf, rounds),
-            PrefetcherBank::AdaptiveNlShift { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-            PrefetcherBank::ThrottledShift { units, pf_of_core } => {
-                step_rounds_units(cores, memory, env, units, pf_of_core, rounds)
-            }
-        }
-    }
-
-    /// [`step_rounds`](Self::step_rounds) through per-fetch virtual dispatch
-    /// (`&mut dyn InstructionPrefetcher`), reproducing the engine's previous
-    /// boxed-dyn stepping loop. Exists solely so the integration tests can
-    /// lock the enum-dispatched loop bit-identical to the dynamic one; not
-    /// part of the supported API.
-    #[doc(hidden)]
-    pub fn step_rounds_dyn(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            for idx in 0..self.cores.len() {
-                let pf = self.prefetchers.slot_dyn(idx);
-                self.cores
-                    .core(idx)
-                    .step_one_fetch(pf, &mut self.memory, &mut self.env);
-            }
-        }
+        self.prefetchers
+            .step_rounds(&mut self.cores, &mut self.memory, &mut self.env, rounds);
     }
 
     /// Ends warm-up: clears all statistics so the measured interval starts
@@ -711,89 +621,81 @@ impl Engine {
 }
 
 /// Builds the prefetcher(s): one instance for the whole CMP, except for SHIFT
-/// under consolidation where each workload gets its own shared history and
-/// generator core.
+/// (alone or wrapped by a hybrid), where each consolidated workload gets its
+/// own shared history and generator core.
 fn build_prefetchers(
     config: &CmpConfig,
     consolidation: &ConsolidationSpec,
     memory: &mut MemorySystem,
-) -> PrefetcherBank {
+) -> Box<dyn StepRounds> {
     let cores = config.cores;
     match &config.prefetcher {
-        PrefetcherConfig::None => PrefetcherBank::Null(NullPrefetcher::new()),
-        PrefetcherConfig::NextLine { degree } => {
-            PrefetcherBank::NextLine(NextLinePrefetcher::new(*degree, cores))
-        }
-        PrefetcherConfig::Pif(cfg) => PrefetcherBank::Pif(Pif::new(*cfg, cores)),
+        PrefetcherConfig::None => Box::new(Units::shared(NullPrefetcher::new(), cores)),
+        PrefetcherConfig::NextLine { degree } => Box::new(Units::shared(
+            NextLinePrefetcher::new(*degree, cores),
+            cores,
+        )),
+        PrefetcherConfig::Pif(cfg) => Box::new(Units::shared(Pif::new(*cfg, cores), cores)),
         PrefetcherConfig::Shift {
             history_records,
             mode,
-        } => {
-            let (units, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            PrefetcherBank::Shift { units, pf_of_core }
-        }
+        } => Box::new(build_shift_units(
+            config,
+            consolidation,
+            memory,
+            *history_records,
+            *mode,
+        )),
         PrefetcherConfig::ShiftNextLine {
             history_records,
             mode,
             degree,
         } => {
-            let (shifts, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
             // Each workload's SHIFT gets its own next-line fallback; the
             // fallback is sized for the full CMP since any of the workload's
             // cores may fetch through it.
-            let units = shifts
-                .into_iter()
-                .map(|s| FallbackPrefetcher::new(s, NextLinePrefetcher::new(*degree, cores)))
-                .collect();
-            PrefetcherBank::ShiftNextLine { units, pf_of_core }
+            let units = build_shift_units(config, consolidation, memory, *history_records, *mode)
+                .map(|s| FallbackPrefetcher::new(s, NextLinePrefetcher::new(*degree, cores)));
+            Box::new(units)
         }
-        PrefetcherConfig::GatedPif { config: cfg, gate } => PrefetcherBank::GatedPif(
+        PrefetcherConfig::GatedPif { config: cfg, gate } => Box::new(Units::shared(
             ConfidenceGatedPrefetcher::new(Pif::new(*cfg, cores), *gate, cores),
-        ),
+            cores,
+        )),
         PrefetcherConfig::AdaptiveNlShift {
             history_records,
             mode,
             adapt,
         } => {
-            let (shifts, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            let units = shifts
-                .into_iter()
+            let units = build_shift_units(config, consolidation, memory, *history_records, *mode)
                 .map(|s| {
                     AdaptivePrefetcher::new(NextLinePrefetcher::new(1, cores), s, *adapt, cores)
-                })
-                .collect();
-            PrefetcherBank::AdaptiveNlShift { units, pf_of_core }
+                });
+            Box::new(units)
         }
         PrefetcherConfig::ThrottledShift {
             history_records,
             mode,
             port,
         } => {
-            let (shifts, pf_of_core) =
-                build_shift_units(config, consolidation, memory, *history_records, *mode);
-            let units = shifts
-                .into_iter()
-                .map(|s| ThrottledPrefetcher::new(s, *port))
-                .collect();
-            PrefetcherBank::ThrottledShift { units, pf_of_core }
+            let units = build_shift_units(config, consolidation, memory, *history_records, *mode)
+                .map(|s| ThrottledPrefetcher::new(s, *port));
+            Box::new(units)
         }
     }
 }
 
 /// Builds the per-workload SHIFT units: one shared history per workload,
 /// generated by the first core of that workload, embedded at a distinct LLC
-/// window. Shared by the standalone SHIFT bank and every hybrid that wraps
-/// SHIFT, so the wrapped units are bit-identical to the standalone ones.
+/// window. Shared by standalone SHIFT and every hybrid that wraps SHIFT, so
+/// the wrapped units are bit-identical to the standalone ones.
 fn build_shift_units(
     config: &CmpConfig,
     consolidation: &ConsolidationSpec,
     memory: &mut MemorySystem,
     history_records: usize,
     mode: shift_core::ShiftMode,
-) -> (Vec<Shift>, Vec<usize>) {
+) -> Units<Shift> {
     let cores = config.cores;
     let n_workloads = consolidation.workloads().len();
     let mut units: Vec<Shift> = Vec::with_capacity(n_workloads);
@@ -815,5 +717,5 @@ fn build_shift_units(
         }
         units.push(shift);
     }
-    (units, pf_of_core)
+    Units { units, pf_of_core }
 }
